@@ -12,11 +12,28 @@ in the middle is where the index cache lives.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from struct import Struct
+
 from repro.errors import PageFormatError
 from repro.storage.constants import PageType
 from repro.storage.page import SlottedPage
 
 CHILD_PTR_SIZE = 4
+
+_CHILD = Struct("<I")
+
+
+@lru_cache(maxsize=64)
+def _field(size: int) -> Struct:
+    """Codec for one fixed-width ``bytes`` field of a node record."""
+    return Struct(f"{size}s")
+
+
+@lru_cache(maxsize=64)
+def _pair(key_size: int, value_size: int) -> Struct:
+    """Codec for a whole ``key || value`` leaf record."""
+    return Struct(f"{key_size}s{value_size}s")
 
 
 class LeafNode:
@@ -28,33 +45,41 @@ class LeafNode:
                 f"page {page.page_id} is {page.page_type.name}, not a leaf"
             )
         self.page = page
+        self._buf = page.buffer
         self._key_size = key_size
         self._value_size = value_size
+        # Fields are decoded straight from the page bytes at the record's
+        # offset; no intermediate record copy.
+        self._key = _field(key_size).unpack_from
+        self._value = _field(value_size).unpack_from
+        self._entry = _pair(key_size, value_size).unpack_from
 
     @property
     def count(self) -> int:
         return self.page.slot_count
 
     def key_at(self, pos: int) -> bytes:
-        return self.page.read(pos)[: self._key_size]
+        return self._key(self._buf, self.page.record_offset(pos))[0]
 
     def value_at(self, pos: int) -> bytes:
-        return self.page.read(pos)[self._key_size :]
+        offset = self.page.record_offset(pos)
+        return self._value(self._buf, offset + self._key_size)[0]
 
     def entry_at(self, pos: int) -> tuple[bytes, bytes]:
-        record = self.page.read(pos)
-        return record[: self._key_size], record[self._key_size :]
+        return self._entry(self._buf, self.page.record_offset(pos))
 
     def find(self, key: bytes) -> tuple[int, bool]:
         """Lower-bound binary search: ``(position, exact_match)``."""
-        lo, hi = 0, self.count
+        key_at = self.key_at
+        count = self.count
+        lo, hi = 0, count
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.key_at(mid) < key:
+            if key_at(mid) < key:
                 lo = mid + 1
             else:
                 hi = mid
-        found = lo < self.count and self.key_at(lo) == key
+        found = lo < count and key_at(lo) == key
         return lo, found
 
     def insert(self, pos: int, key: bytes, value: bytes) -> None:
@@ -86,24 +111,26 @@ class InternalNode:
                 f"page {page.page_id} is {page.page_type.name}, not internal"
             )
         self.page = page
+        self._buf = page.buffer
         self._key_size = key_size
+        self._key = _field(key_size).unpack_from
 
     @property
     def count(self) -> int:
         return self.page.slot_count
 
     def key_at(self, pos: int) -> bytes:
-        return self.page.read(pos)[: self._key_size]
+        return self._key(self._buf, self.page.record_offset(pos))[0]
 
     def child_at(self, pos: int) -> int:
-        record = self.page.read(pos)
-        return int.from_bytes(record[self._key_size :], "little")
+        offset = self.page.record_offset(pos)
+        return _CHILD.unpack_from(self._buf, offset + self._key_size)[0]
 
     def entry_at(self, pos: int) -> tuple[bytes, int]:
-        record = self.page.read(pos)
+        offset = self.page.record_offset(pos)
         return (
-            record[: self._key_size],
-            int.from_bytes(record[self._key_size :], "little"),
+            self._key(self._buf, offset)[0],
+            _CHILD.unpack_from(self._buf, offset + self._key_size)[0],
         )
 
     def find_child(self, key: bytes) -> tuple[int, int]:
@@ -112,10 +139,11 @@ class InternalNode:
         Picks the rightmost entry whose separator is <= ``key``; entry 0's
         separator is ignored (−∞), so position 0 is the floor.
         """
+        key_at = self.key_at
         lo, hi = 1, self.count
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.key_at(mid) <= key:
+            if key_at(mid) <= key:
                 lo = mid + 1
             else:
                 hi = mid

@@ -20,7 +20,8 @@ Key invariants (and where the paper states them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from struct import Struct
 
 from repro.core.index_cache.layout import (
     CacheGeometry,
@@ -76,6 +77,13 @@ class IndexCache:
         self._payload_size = payload_size
         self._entry_size = entry_size
         self._item_size = item_size_for_payload(payload_size)
+        # One slot is ``tuple_id | payload | checksum``; the second codec
+        # skips to each slot's stored checksum, so a whole window's worth
+        # comes out of one C-level pass.
+        self._item = Struct(f"<{ITEM_HEADER_SIZE}s{payload_size}sH")
+        self._stored_checksums = Struct(
+            f"<{self._item_size - ITEM_CHECKSUM_SIZE}xH"
+        ).iter_unpack
         if policy is None:
             policy = SwapPolicy(rng if rng is not None else DeterministicRng(0))
         self._policy = policy
@@ -117,20 +125,12 @@ class IndexCache:
         self, page: SlottedPage, geo: CacheGeometry, slot: int
     ) -> tuple[bytes, bytes] | None:
         """``(tuple_id, payload)`` if the slot holds a valid item, else None."""
-        off = geo.slot_offset(slot)
-        buf = page.buffer
-        stored = int.from_bytes(
-            buf[off + self._item_size - ITEM_CHECKSUM_SIZE : off + self._item_size],
-            "little",
-        )
-        if stored == 0:
-            return None
-        tid = bytes(buf[off : off + ITEM_HEADER_SIZE])
-        payload = bytes(
-            buf[off + ITEM_HEADER_SIZE : off + ITEM_HEADER_SIZE + self._payload_size]
-        )
-        if checksum(tid, payload) != stored:
-            return None  # clobbered by index growth; reads as empty
+        return self._item_at(page.buffer, geo.slot_offset(slot))
+
+    def _item_at(self, buf: bytearray, off: int) -> tuple[bytes, bytes] | None:
+        tid, payload, stored = self._item.unpack_from(buf, off)
+        if stored == 0 or checksum(tid, payload) != stored:
+            return None  # empty, or clobbered by index growth
         return tid, payload
 
     def write_slot(
@@ -150,14 +150,13 @@ class IndexCache:
             raise ReproError(
                 f"payload must be {self._payload_size} bytes, got {len(payload)}"
             )
-        off = geo.slot_offset(slot)
-        buf = page.buffer
-        buf[off : off + ITEM_HEADER_SIZE] = tuple_id
-        buf[off + ITEM_HEADER_SIZE : off + ITEM_HEADER_SIZE + self._payload_size] = payload
-        crc = checksum(tuple_id, payload)
-        buf[
-            off + self._item_size - ITEM_CHECKSUM_SIZE : off + self._item_size
-        ] = crc.to_bytes(ITEM_CHECKSUM_SIZE, "little")
+        self._item.pack_into(
+            page.buffer,
+            geo.slot_offset(slot),
+            tuple_id,
+            payload,
+            checksum(tuple_id, payload),
+        )
 
     def clear_slot(self, page: SlottedPage, geo: CacheGeometry, slot: int) -> None:
         """Zero one slot."""
@@ -174,26 +173,39 @@ class IndexCache:
     def occupancy(
         self, page: SlottedPage, geo: CacheGeometry | None = None
     ) -> tuple[list[int], list[int]]:
-        """``(free_slots, occupied_slots)`` for the current geometry."""
+        """``(free_slots, occupied_slots)`` for the current geometry.
+
+        Computed afresh from the page bytes on every call, not cached per
+        page: one C-level pass reads every slot's stored checksum, and
+        only slots whose stored value is nonzero (zero means empty) are
+        verified item by item.  Occupancy is therefore always exactly what
+        a per-slot :meth:`read_slot` scan would report.
+        """
         if geo is None:
             geo = self.geometry(page)
-        free: list[int] = []
-        occupied: list[int] = []
-        for slot in range(geo.num_slots):
-            if self.read_slot(page, geo, slot) is None:
-                free.append(slot)
-            else:
-                occupied.append(slot)
-        return free, occupied
+        occupied = [slot for slot, _, _ in self._valid_items(page, geo)]
+        if not occupied:
+            return list(range(geo.num_slots)), occupied
+        taken = set(occupied)
+        return [s for s in range(geo.num_slots) if s not in taken], occupied
 
     def entries(self, page: SlottedPage) -> list[tuple[int, bytes, bytes]]:
         """Every valid item as ``(slot, tuple_id, payload)``."""
-        geo = self.geometry(page)
+        return self._valid_items(page, self.geometry(page))
+
+    def _valid_items(
+        self, page: SlottedPage, geo: CacheGeometry
+    ) -> list[tuple[int, bytes, bytes]]:
+        item_size = self._item_size
+        base = geo.first_slot_index * item_size
+        buf = page.buffer
+        stored = self._stored_checksums(buf[base : base + geo.num_slots * item_size])
         out = []
-        for slot in range(geo.num_slots):
-            item = self.read_slot(page, geo, slot)
-            if item is not None:
-                out.append((slot, item[0], item[1]))
+        for slot, (crc,) in enumerate(stored):
+            if crc:
+                item = self._item_at(buf, base + slot * item_size)
+                if item is not None:
+                    out.append((slot, item[0], item[1]))
         return out
 
     def find(
@@ -215,10 +227,9 @@ class IndexCache:
         while pos != -1:
             rel = pos - base
             if rel % self._item_size == 0:
-                slot = rel // self._item_size
-                item = self.read_slot(page, geo, slot)
+                item = self._item_at(buf, pos)
                 if item is not None and item[0] == tuple_id:
-                    return slot, item[1]
+                    return rel // self._item_size, item[1]
             pos = buf.find(tuple_id, pos + 1, end)
         return None
 

@@ -27,7 +27,8 @@ bucket-by-bucket toward S so the hottest items die last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ReproError
 from repro.storage.constants import PAGE_FOOTER_SIZE, PAGE_HEADER_SIZE, SLOT_ENTRY_SIZE
@@ -69,9 +70,11 @@ def checksum(tuple_id: bytes, payload: bytes) -> int:
 class CacheGeometry:
     """The slot layout of one page's free window at one item size.
 
-    Geometry is recomputed on every access because the window moves as the
-    page fills: slots that no longer fit simply vanish from the layout (and
-    their bytes are fair game for the index).
+    A geometry is a snapshot: it is built from the page's current free
+    window at the start of every cache operation, because the window moves
+    as the page fills and slots that no longer fit simply vanish from the
+    layout (their bytes are fair game for the index).  The slot range is
+    derived once at construction.
     """
 
     page_size: int
@@ -79,6 +82,17 @@ class CacheGeometry:
     free_hi: int
     item_size: int
     entry_size: int  # leaf key+value record width (the paper's K)
+    #: Index of the first aligned slot fully inside the window.
+    first_slot_index: int = field(init=False, compare=False)
+    #: How many aligned slots currently fit in the free window.
+    num_slots: int = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        first = -(-self.free_lo // self.item_size)  # ceil division
+        start = first * self.item_size
+        fits = (self.free_hi - start) // self.item_size if start < self.free_hi else 0
+        object.__setattr__(self, "first_slot_index", first)
+        object.__setattr__(self, "num_slots", fits)
 
     @classmethod
     def of(cls, page: SlottedPage, payload_size: int, entry_size: int) -> "CacheGeometry":
@@ -94,21 +108,8 @@ class CacheGeometry:
     # -- slots ------------------------------------------------------------
 
     @property
-    def first_slot_index(self) -> int:
-        """Index of the first aligned slot fully inside the window."""
-        return -(-self.free_lo // self.item_size)  # ceil division
-
-    @property
     def last_slot_end(self) -> int:
         return self.free_hi
-
-    @property
-    def num_slots(self) -> int:
-        """How many aligned slots currently fit in the free window."""
-        first_start = self.first_slot_index * self.item_size
-        if first_start >= self.free_hi:
-            return 0
-        return (self.free_hi - first_start) // self.item_size
 
     def slot_offset(self, slot: int) -> int:
         """Absolute byte offset of logical slot ``slot`` (0-based)."""
@@ -141,25 +142,70 @@ class CacheGeometry:
 
     def slots_by_stability(self) -> list[int]:
         """Slot indices ordered most-stable (closest to S) first."""
-        s = self.stable_point
-        half = self.item_size / 2
-        offsets = self.slot_offsets()
-        order = sorted(
-            range(len(offsets)), key=lambda i: abs(offsets[i] + half - s)
+        return _stability_order(
+            self.first_slot_index, self.num_slots, self.item_size, self.stable_point
         )
-        return order
 
-    def buckets(self, bucket_slots: int) -> list[list[int]]:
+    def buckets(self, bucket_slots: int) -> tuple[tuple[int, ...], ...]:
         """Group slots into buckets of ``bucket_slots``, stable bucket first.
 
         Bucket 0 is the interior (nearest S); the last bucket is the
         periphery that index growth will overwrite first and evictions
-        target.
+        target.  The result is shared between calls and read-only.
         """
         if bucket_slots <= 0:
             raise ReproError("bucket_slots must be positive")
-        ranked = self.slots_by_stability()
-        return [
-            ranked[i : i + bucket_slots]
-            for i in range(0, len(ranked), bucket_slots)
-        ]
+        return self._ranking(bucket_slots)[0]
+
+    def bucket_of(self, slot: int, bucket_slots: int) -> int | None:
+        """Index into :meth:`buckets` of the bucket holding ``slot``, or
+        ``None`` if the slot is not in this geometry."""
+        if not 0 <= slot < self.num_slots:
+            return None
+        return self._ranking(bucket_slots)[1][slot]
+
+    def _ranking(
+        self, bucket_slots: int
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        return _ranked_buckets(
+            self.first_slot_index,
+            self.num_slots,
+            self.item_size,
+            self.stable_point,
+            bucket_slots,
+        )
+
+
+def _stability_order(
+    first_slot: int, num_slots: int, item_size: int, stable: float
+) -> list[int]:
+    """Slot indices by distance of the slot centre from ``stable``; ties
+    keep address order (``sorted`` is stable)."""
+    half = item_size / 2
+    return sorted(
+        range(num_slots),
+        key=lambda i: abs((first_slot + i) * item_size + half - stable),
+    )
+
+
+@lru_cache(maxsize=256)
+def _ranked_buckets(
+    first_slot: int, num_slots: int, item_size: int, stable: float, bucket_slots: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``(buckets, bucket index of each slot)`` for one slot layout.
+
+    The ranking is a pure function of the layout, so it is sorted once per
+    layout rather than on every probe.  Leaves with the same entry count
+    share a layout, so distinct layouts are far fewer than probes; the
+    memo is bounded so memory stays flat however many there are.
+    """
+    ranked = _stability_order(first_slot, num_slots, item_size, stable)
+    buckets = tuple(
+        tuple(ranked[i : i + bucket_slots])
+        for i in range(0, num_slots, bucket_slots)
+    )
+    index_of = [0] * num_slots
+    for b, bucket in enumerate(buckets):
+        for slot in bucket:
+            index_of[slot] = b
+    return buckets, tuple(index_of)

@@ -93,13 +93,12 @@ class SwapPolicy(CachePolicy):
     def on_hit(
         self, geo: CacheGeometry, slot: int, page_key: int
     ) -> int | None:
-        buckets = geo.buckets(self._bucket_slots)
-        for b, bucket in enumerate(buckets):
-            if slot in bucket:
-                if b == 0:
-                    return None  # already in the innermost bucket
-                return self._rng.choice(buckets[b - 1])
-        return None  # slot no longer in the geometry (window moved)
+        b = geo.bucket_of(slot, self._bucket_slots)
+        if b is None:
+            return None  # slot no longer in the geometry (window moved)
+        if b == 0:
+            return None  # already in the innermost bucket
+        return self._rng.choice(geo.buckets(self._bucket_slots)[b - 1])
 
 
 class RandomPolicy(CachePolicy):

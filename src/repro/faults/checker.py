@@ -118,7 +118,7 @@ def _check_page_layout(report: CheckReport, label: str, page, expected_type) -> 
         )
     record_region_end = page.size - PAGE_FOOTER_SIZE
     for slot in page.live_slots():
-        offset, length = page._slot_entry(slot)
+        offset, length = page.slot_entry(slot)
         if not (hi <= offset and offset + length <= record_region_end):
             report.note(
                 f"{label}: slot {slot} record [{offset}, {offset + length}) "

@@ -4,7 +4,8 @@ Records are dicts-in, dicts-out at the query layer but packed tuples at the
 storage layer; these functions are the boundary.  Partial unpacking
 (:func:`unpack_fields`) exists so that reading a projection from a cached
 index entry or a heap tuple touches only the referenced byte ranges — the
-same access pattern the paper's locality argument is about.
+same access pattern the paper's locality argument is about.  All three
+run on the schema's compiled codecs (:mod:`repro.schema.codec`).
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ def pack_record(schema: Schema, values: Sequence[object]) -> bytes:
         raise SchemaError(
             f"expected {len(schema)} values, got {len(values)}"
         )
-    parts = [col.ctype.pack(v) for col, v in zip(schema.columns, values)]
-    return b"".join(parts)
+    return schema.codec.pack(values)
 
 
 def pack_record_map(schema: Schema, values: Mapping[str, object]) -> bytes:
@@ -39,12 +39,7 @@ def unpack_record(schema: Schema, data: bytes) -> tuple[object, ...]:
         raise SchemaError(
             f"record is {len(data)} bytes, schema needs {schema.record_size}"
         )
-    values = []
-    offset = 0
-    for col in schema.columns:
-        values.append(col.ctype.unpack(data[offset : offset + col.size]))
-        offset += col.size
-    return tuple(values)
+    return tuple(schema.codec.unpack(data))
 
 
 def unpack_record_map(schema: Schema, data: bytes) -> dict[str, object]:
@@ -60,12 +55,7 @@ def unpack_fields(
         raise SchemaError(
             f"record is {len(data)} bytes, schema needs {schema.record_size}"
         )
-    out: dict[str, object] = {}
-    for name in names:
-        col = schema.column(name)
-        offset = schema.offset_of(name)
-        out[name] = col.ctype.unpack(data[offset : offset + col.size])
-    return out
+    return dict(zip(names, schema.projection_codec(names).unpack(data)))
 
 
 def overwrite_field(

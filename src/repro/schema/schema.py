@@ -10,9 +10,14 @@ all depend on this arithmetic being exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import SchemaError
+from repro.schema.codec import RecordCodec
 from repro.schema.types import PhysicalType
+
+#: Distinct projections whose compiled codec one schema keeps.
+_MAX_PROJECTIONS = 64
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,21 @@ class Schema:
             self._index[col.name] = i
             self._offsets[col.name] = offset
             offset += col.size
+        # Derived layout, compiled once (not dataclass fields, so equality,
+        # hashing and repr still see only the columns).
+        names = tuple(col.name for col in self.columns)
+        set_attr = object.__setattr__
+        set_attr(self, "_record_size", offset)
+        set_attr(self, "_names", names)
+        set_attr(self, "codec", RecordCodec(
+            [(self._offsets[col.name], col.ctype) for col in self.columns], offset
+        ))
+        set_attr(self, "_projections", {names: self.codec})
+
+    def __reduce__(self):
+        # The compiled codecs are derived state (and Structs do not
+        # pickle): copies and pickles rebuild them from the columns.
+        return (Schema, (self.columns,))
 
     @classmethod
     def of(cls, *cols: tuple[str, PhysicalType]) -> "Schema":
@@ -75,11 +95,29 @@ class Schema:
     @property
     def record_size(self) -> int:
         """Packed record width in bytes."""
-        return sum(col.size for col in self.columns)
+        return self._record_size
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
+        return self._names
+
+    def projection_codec(self, names: Sequence[str]) -> RecordCodec:
+        """The compiled codec decoding just ``names`` (in that order) from
+        a packed record, memoised per projection (the memo starts over
+        when it reaches ``_MAX_PROJECTIONS``).  Raises
+        :class:`SchemaError` for an unknown column."""
+        key = tuple(names)
+        codec = self._projections.get(key)
+        if codec is None:
+            codec = RecordCodec(
+                [(self.offset_of(n), self.column(n).ctype) for n in key],
+                self._record_size,
+            )
+            if len(self._projections) >= _MAX_PROJECTIONS:
+                self._projections.clear()
+                self._projections[self._names] = self.codec
+            self._projections[key] = codec
+        return codec
 
     def offset_of(self, name: str) -> int:
         """Byte offset of column ``name`` within a packed record."""

@@ -3,7 +3,7 @@
 Byte layout of a page of size ``P``::
 
     offset 0                                                        P
-    | header (24 B) | directory -> | ...free window... | <- records | footer (4 B) |
+    | header (32 B) | directory -> | ...free window... | <- records | footer (4 B) |
 
 * The **directory** grows upward from the header; entry ``i`` is 4 bytes:
   record offset (u16) + record length (u16).  Offset 0 marks a tombstone.
@@ -39,6 +39,7 @@ wrong query results.
 from __future__ import annotations
 
 import zlib
+from struct import Struct
 from typing import Iterator
 
 from repro.errors import InvalidRidError, PageFormatError, PageFullError
@@ -67,6 +68,18 @@ _OFF_LEVEL = 26
 _OFF_CHECKSUM = PAGE_CHECKSUM_OFFSET
 _TOMBSTONE_OFFSET = 0
 
+# Precompiled little-endian codecs for header fields and directory entries
+# (one C call per field instead of a slice plus ``int.from_bytes``).
+_U16 = Struct("<H")
+_U32 = Struct("<I")
+_U64 = Struct("<Q")
+_U16X2 = Struct("<HH")
+#: ``slot_count, free_lo, free_hi``: three adjacent header fields.
+_COUNTS = Struct("<HHH")
+
+#: Header byte -> PageType (a lookup, not an enum call, per access).
+_PAGE_TYPES = {int(t): t for t in PageType}
+
 
 def compute_page_checksum(buffer: bytes | bytearray) -> int:
     """CRC32 over the page bytes with the checksum field treated as zero."""
@@ -77,17 +90,13 @@ def compute_page_checksum(buffer: bytes | bytearray) -> int:
 
 def read_page_checksum(buffer: bytes | bytearray) -> int:
     """The stored CRC32 stamp (0 on a never-stamped page)."""
-    return int.from_bytes(
-        buffer[_OFF_CHECKSUM : _OFF_CHECKSUM + PAGE_CHECKSUM_SIZE], "little"
-    )
+    return _U32.unpack_from(buffer, _OFF_CHECKSUM)[0]
 
 
 def stamp_page_checksum(buffer: bytearray) -> int:
     """Stamp the current CRC32 into the checksum field; returns the CRC."""
     crc = compute_page_checksum(buffer)
-    buffer[_OFF_CHECKSUM : _OFF_CHECKSUM + PAGE_CHECKSUM_SIZE] = crc.to_bytes(
-        4, "little"
-    )
+    _U32.pack_into(buffer, _OFF_CHECKSUM, crc)
     return crc
 
 
@@ -126,47 +135,26 @@ class SlottedPage:
         size = len(buffer)
         buffer[:] = bytes(size)
         page = cls(buffer)
-        page._put_u16(_OFF_MAGIC, PAGE_MAGIC)
-        page._put_u32(_OFF_PAGE_ID, page_id)
+        _U16.pack_into(buffer, _OFF_MAGIC, PAGE_MAGIC)
+        _U32.pack_into(buffer, _OFF_PAGE_ID, page_id)
         buffer[_OFF_TYPE] = int(page_type)
-        page._put_u16(_OFF_SLOT_COUNT, 0)
-        page._put_u16(_OFF_FREE_LO, PAGE_HEADER_SIZE)
-        page._put_u16(_OFF_FREE_HI, size - PAGE_FOOTER_SIZE)
-        page._put_u64(_OFF_CACHE_CSN, 0)
-        page._put_u32(_OFF_NEXT_PAGE, NO_PAGE)
-        buffer[_OFF_LEVEL] = 0
-        page._put_u16(size - PAGE_FOOTER_SIZE, FOOTER_MAGIC)
+        _U16X2.pack_into(
+            buffer, _OFF_FREE_LO, PAGE_HEADER_SIZE, size - PAGE_FOOTER_SIZE
+        )
+        _U32.pack_into(buffer, _OFF_NEXT_PAGE, NO_PAGE)
+        _U16.pack_into(buffer, size - PAGE_FOOTER_SIZE, FOOTER_MAGIC)
         return page
 
     def verify(self) -> None:
         """Raise :class:`PageFormatError` if the page bytes look corrupt."""
-        if self._get_u16(_OFF_MAGIC) != PAGE_MAGIC:
+        buf = self._buf
+        if _U16.unpack_from(buf, _OFF_MAGIC)[0] != PAGE_MAGIC:
             raise PageFormatError("bad page magic")
-        if self._get_u16(self._size - PAGE_FOOTER_SIZE) != FOOTER_MAGIC:
+        if _U16.unpack_from(buf, self._size - PAGE_FOOTER_SIZE)[0] != FOOTER_MAGIC:
             raise PageFormatError("bad footer magic")
         lo, hi = self.free_window()
         if not PAGE_HEADER_SIZE <= lo <= hi <= self._size - PAGE_FOOTER_SIZE:
             raise PageFormatError(f"inconsistent free window [{lo}, {hi})")
-
-    # -- primitive accessors -------------------------------------------------
-
-    def _get_u16(self, off: int) -> int:
-        return int.from_bytes(self._buf[off : off + 2], "little")
-
-    def _put_u16(self, off: int, value: int) -> None:
-        self._buf[off : off + 2] = value.to_bytes(2, "little")
-
-    def _get_u32(self, off: int) -> int:
-        return int.from_bytes(self._buf[off : off + 4], "little")
-
-    def _put_u32(self, off: int, value: int) -> None:
-        self._buf[off : off + 4] = value.to_bytes(4, "little")
-
-    def _get_u64(self, off: int) -> int:
-        return int.from_bytes(self._buf[off : off + 8], "little")
-
-    def _put_u64(self, off: int, value: int) -> None:
-        self._buf[off : off + 8] = value.to_bytes(8, "little")
 
     # -- header properties ---------------------------------------------------
 
@@ -181,35 +169,41 @@ class SlottedPage:
 
     @property
     def page_id(self) -> int:
-        return self._get_u32(_OFF_PAGE_ID)
+        return _U32.unpack_from(self._buf, _OFF_PAGE_ID)[0]
 
     @property
     def page_type(self) -> PageType:
-        return PageType(self._buf[_OFF_TYPE])
+        """The page's :class:`PageType`; ``ValueError`` for an unknown byte
+        (the consistency checker reports those as corruption)."""
+        byte = self._buf[_OFF_TYPE]
+        page_type = _PAGE_TYPES.get(byte)
+        if page_type is None:
+            raise ValueError(f"{byte} is not a valid PageType")
+        return page_type
 
     @property
     def slot_count(self) -> int:
         """Directory entries, including tombstones."""
-        return self._get_u16(_OFF_SLOT_COUNT)
+        return _U16.unpack_from(self._buf, _OFF_SLOT_COUNT)[0]
 
     @property
     def cache_csn(self) -> int:
         """Per-page cache sequence number (§2.1.2 ``CSN_p``)."""
-        return self._get_u64(_OFF_CACHE_CSN)
+        return _U64.unpack_from(self._buf, _OFF_CACHE_CSN)[0]
 
     @cache_csn.setter
     def cache_csn(self, value: int) -> None:
-        self._put_u64(_OFF_CACHE_CSN, value)
+        _U64.pack_into(self._buf, _OFF_CACHE_CSN, value)
 
     @property
     def next_page(self) -> int | None:
         """Sibling link (B+Tree leaf chaining); ``None`` when unset."""
-        raw = self._get_u32(_OFF_NEXT_PAGE)
+        raw = _U32.unpack_from(self._buf, _OFF_NEXT_PAGE)[0]
         return None if raw == NO_PAGE else raw
 
     @next_page.setter
     def next_page(self, value: int | None) -> None:
-        self._put_u32(_OFF_NEXT_PAGE, NO_PAGE if value is None else value)
+        _U32.pack_into(self._buf, _OFF_NEXT_PAGE, NO_PAGE if value is None else value)
 
     @property
     def checksum(self) -> int:
@@ -231,7 +225,7 @@ class SlottedPage:
 
     def free_window(self) -> tuple[int, int]:
         """``(free_lo, free_hi)`` — the unclaimed middle of the page."""
-        return self._get_u16(_OFF_FREE_LO), self._get_u16(_OFF_FREE_HI)
+        return _U16X2.unpack_from(self._buf, _OFF_FREE_LO)
 
     @property
     def free_bytes(self) -> int:
@@ -240,26 +234,38 @@ class SlottedPage:
 
     # -- directory -----------------------------------------------------------
 
-    def _slot_entry_offset(self, slot: int) -> int:
-        return PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE
-
-    def _slot_entry(self, slot: int) -> tuple[int, int]:
-        if not 0 <= slot < self.slot_count:
+    def slot_entry(self, slot: int) -> tuple[int, int]:
+        """Directory entry ``slot`` as ``(record offset, record length)``;
+        offset 0 marks a tombstone.  Raises :class:`InvalidRidError` when
+        ``slot`` is outside the directory."""
+        buf = self._buf
+        if not 0 <= slot < _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]:
             raise InvalidRidError(
                 f"slot {slot} out of range on page {self.page_id}"
             )
-        base = self._slot_entry_offset(slot)
-        return self._get_u16(base), self._get_u16(base + 2)
+        return _U16X2.unpack_from(buf, PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE)
+
+    def record_offset(self, slot: int) -> int:
+        """Byte offset of the live record in ``slot`` (B+Tree nodes read
+        their fixed-width fields from here without copying the record)."""
+        buf = self._buf
+        if 0 <= slot < _U16.unpack_from(buf, _OFF_SLOT_COUNT)[0]:
+            offset = _U16.unpack_from(buf, PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE)[0]
+            if offset != _TOMBSTONE_OFFSET:
+                return offset
+            raise InvalidRidError(
+                f"slot {slot} on page {self.page_id} is deleted"
+            )
+        return self.slot_entry(slot)[0]  # raises the out-of-range error
 
     def _set_slot_entry(self, slot: int, offset: int, length: int) -> None:
-        base = self._slot_entry_offset(slot)
-        self._put_u16(base, offset)
-        self._put_u16(base + 2, length)
+        _U16X2.pack_into(
+            self._buf, PAGE_HEADER_SIZE + slot * SLOT_ENTRY_SIZE, offset, length
+        )
 
     def slot_is_live(self, slot: int) -> bool:
         """True if the slot holds a record (not a tombstone)."""
-        offset, _ = self._slot_entry(slot)
-        return offset != _TOMBSTONE_OFFSET
+        return self.slot_entry(slot)[0] != _TOMBSTONE_OFFSET
 
     # -- record operations -----------------------------------------------------
 
@@ -273,7 +279,8 @@ class SlottedPage:
         """
         if not data:
             raise PageFullError("cannot insert an empty record")
-        lo, hi = self.free_window()
+        buf = self._buf
+        count, lo, hi = _COUNTS.unpack_from(buf, _OFF_SLOT_COUNT)
         reuse_slot = self._find_tombstone()
         need = len(data) if reuse_slot is not None else len(data) + SLOT_ENTRY_SIZE
         if hi - lo < need:
@@ -281,20 +288,21 @@ class SlottedPage:
                 f"page {self.page_id}: need {need} bytes, have {hi - lo}"
             )
         new_hi = hi - len(data)
-        self._buf[new_hi:hi] = data
-        self._put_u16(_OFF_FREE_HI, new_hi)
+        buf[new_hi:hi] = data
         if reuse_slot is not None:
             slot = reuse_slot
+            _U16.pack_into(buf, _OFF_FREE_HI, new_hi)
         else:
-            slot = self.slot_count
-            self._put_u16(_OFF_SLOT_COUNT, slot + 1)
-            self._put_u16(_OFF_FREE_LO, lo + SLOT_ENTRY_SIZE)
+            slot = count
+            _COUNTS.pack_into(
+                buf, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
+            )
         self._set_slot_entry(slot, new_hi, len(data))
         return slot
 
     def read(self, slot: int) -> bytes:
         """Read the record in ``slot``."""
-        offset, length = self._slot_entry(slot)
+        offset, length = self.slot_entry(slot)
         if offset == _TOMBSTONE_OFFSET:
             raise InvalidRidError(
                 f"slot {slot} on page {self.page_id} is deleted"
@@ -303,7 +311,7 @@ class SlottedPage:
 
     def update(self, slot: int, data: bytes) -> None:
         """Overwrite a record in place; the length must not change."""
-        offset, length = self._slot_entry(slot)
+        offset, length = self.slot_entry(slot)
         if offset == _TOMBSTONE_OFFSET:
             raise InvalidRidError(
                 f"slot {slot} on page {self.page_id} is deleted"
@@ -316,7 +324,7 @@ class SlottedPage:
 
     def delete(self, slot: int) -> None:
         """Tombstone a slot.  Record bytes stay until :meth:`compact`."""
-        offset, length = self._slot_entry(slot)
+        offset, length = self.slot_entry(slot)
         if offset == _TOMBSTONE_OFFSET:
             raise InvalidRidError(
                 f"slot {slot} on page {self.page_id} already deleted"
@@ -327,7 +335,7 @@ class SlottedPage:
     def is_formatted(self) -> bool:
         """True if the buffer carries this module's magic (i.e. has been
         through :meth:`format`); fresh zeroed pages are not."""
-        return self._get_u16(_OFF_MAGIC) == PAGE_MAGIC
+        return _U16.unpack_from(self._buf, _OFF_MAGIC)[0] == PAGE_MAGIC
 
     def place_at(self, slot: int, data: bytes) -> None:
         """Materialize ``data`` at exactly ``slot`` (heap-mode redo only).
@@ -364,12 +372,12 @@ class SlottedPage:
         if grow:
             for s in range(count, slot + 1):
                 self._set_slot_entry(s, _TOMBSTONE_OFFSET, 0)
-            self._put_u16(_OFF_SLOT_COUNT, slot + 1)
-            self._put_u16(_OFF_FREE_LO, lo + grow * SLOT_ENTRY_SIZE)
-            hi = self._get_u16(_OFF_FREE_HI)
+            _U16.pack_into(self._buf, _OFF_SLOT_COUNT, slot + 1)
+            _U16.pack_into(self._buf, _OFF_FREE_LO, lo + grow * SLOT_ENTRY_SIZE)
+            hi = _U16.unpack_from(self._buf, _OFF_FREE_HI)[0]
         new_hi = hi - len(data)
         self._buf[new_hi:hi] = data
-        self._put_u16(_OFF_FREE_HI, new_hi)
+        _U16.pack_into(self._buf, _OFF_FREE_HI, new_hi)
         self._set_slot_entry(slot, new_hi, len(data))
 
     def reserve_tombstones(self, new_count: int) -> None:
@@ -391,8 +399,8 @@ class SlottedPage:
             )
         for s in range(count, new_count):
             self._set_slot_entry(s, _TOMBSTONE_OFFSET, 0)
-        self._put_u16(_OFF_SLOT_COUNT, new_count)
-        self._put_u16(_OFF_FREE_LO, lo + grow * SLOT_ENTRY_SIZE)
+        _U16.pack_into(self._buf, _OFF_SLOT_COUNT, new_count)
+        _U16.pack_into(self._buf, _OFF_FREE_LO, lo + grow * SLOT_ENTRY_SIZE)
 
     # -- ordered-directory operations (B+Tree nodes) -------------------------
     #
@@ -409,27 +417,27 @@ class SlottedPage:
         :class:`PageFullError` if the record plus a directory entry do not
         fit in the free window.
         """
-        count = self.slot_count
+        buf = self._buf
+        count, lo, hi = _COUNTS.unpack_from(buf, _OFF_SLOT_COUNT)
         if not 0 <= position <= count:
             raise InvalidRidError(
                 f"position {position} out of range 0..{count}"
             )
         if not data:
             raise PageFullError("cannot insert an empty record")
-        lo, hi = self.free_window()
         need = len(data) + SLOT_ENTRY_SIZE
         if hi - lo < need:
             raise PageFullError(
                 f"page {self.page_id}: need {need} bytes, have {hi - lo}"
             )
         new_hi = hi - len(data)
-        self._buf[new_hi:hi] = data
-        self._put_u16(_OFF_FREE_HI, new_hi)
-        start = self._slot_entry_offset(position)
-        end = self._slot_entry_offset(count)
-        self._buf[start + SLOT_ENTRY_SIZE : end + SLOT_ENTRY_SIZE] = self._buf[start:end]
-        self._put_u16(_OFF_SLOT_COUNT, count + 1)
-        self._put_u16(_OFF_FREE_LO, lo + SLOT_ENTRY_SIZE)
+        buf[new_hi:hi] = data
+        start = PAGE_HEADER_SIZE + position * SLOT_ENTRY_SIZE
+        end = PAGE_HEADER_SIZE + count * SLOT_ENTRY_SIZE
+        buf[start + SLOT_ENTRY_SIZE : end + SLOT_ENTRY_SIZE] = buf[start:end]
+        _COUNTS.pack_into(
+            buf, _OFF_SLOT_COUNT, count + 1, lo + SLOT_ENTRY_SIZE, new_hi
+        )
         self._set_slot_entry(position, new_hi, len(data))
 
     def remove_at(self, position: int) -> None:
@@ -443,12 +451,12 @@ class SlottedPage:
             raise InvalidRidError(
                 f"position {position} out of range 0..{count - 1}"
             )
-        start = self._slot_entry_offset(position + 1)
-        end = self._slot_entry_offset(count)
-        self._buf[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = self._buf[start:end]
-        lo = self._get_u16(_OFF_FREE_LO)
-        self._put_u16(_OFF_SLOT_COUNT, count - 1)
-        self._put_u16(_OFF_FREE_LO, lo - SLOT_ENTRY_SIZE)
+        buf = self._buf
+        start = PAGE_HEADER_SIZE + (position + 1) * SLOT_ENTRY_SIZE
+        end = PAGE_HEADER_SIZE + count * SLOT_ENTRY_SIZE
+        buf[start - SLOT_ENTRY_SIZE : end - SLOT_ENTRY_SIZE] = buf[start:end]
+        lo = _U16.unpack_from(buf, _OFF_FREE_LO)[0]
+        _U16X2.pack_into(buf, _OFF_SLOT_COUNT, count - 1, lo - SLOT_ENTRY_SIZE)
 
     def truncate(self, new_count: int) -> None:
         """Drop every directory entry at position >= ``new_count``.
@@ -463,21 +471,32 @@ class SlottedPage:
                 f"truncate target {new_count} out of range 0..{count}"
             )
         removed = count - new_count
-        lo = self._get_u16(_OFF_FREE_LO)
-        self._put_u16(_OFF_SLOT_COUNT, new_count)
-        self._put_u16(_OFF_FREE_LO, lo - removed * SLOT_ENTRY_SIZE)
+        lo = _U16.unpack_from(self._buf, _OFF_FREE_LO)[0]
+        _U16X2.pack_into(
+            self._buf, _OFF_SLOT_COUNT, new_count, lo - removed * SLOT_ENTRY_SIZE
+        )
+
+    def _directory(self) -> Iterator[tuple[int, int]]:
+        """Every directory entry as ``(offset, length)``, in slot order,
+        decoded in one C-level pass over a snapshot of the directory.
+
+        A corrupt ``slot_count`` reaching past the page is clamped to the
+        entries that fit (the checker walks such pages to report them).
+        """
+        count = min(self.slot_count, (self._size - PAGE_HEADER_SIZE) // SLOT_ENTRY_SIZE)
+        end = PAGE_HEADER_SIZE + count * SLOT_ENTRY_SIZE
+        return _U16X2.iter_unpack(self._buf[PAGE_HEADER_SIZE:end])
 
     def _find_tombstone(self) -> int | None:
-        for slot in range(self.slot_count):
-            base = self._slot_entry_offset(slot)
-            if self._get_u16(base) == _TOMBSTONE_OFFSET:
+        for slot, (offset, _) in enumerate(self._directory()):
+            if offset == _TOMBSTONE_OFFSET:
                 return slot
         return None
 
     def live_slots(self) -> Iterator[int]:
         """Yield slot numbers that hold live records."""
-        for slot in range(self.slot_count):
-            if self.slot_is_live(slot):
+        for slot, (offset, _) in enumerate(self._directory()):
+            if offset != _TOMBSTONE_OFFSET:
                 yield slot
 
     def records(self) -> Iterator[tuple[int, bytes]]:
@@ -495,35 +514,31 @@ class SlottedPage:
         exactly the situation its checksums guard against, and zeroing makes
         every stale slot read as empty.
         """
-        entries: list[tuple[int, bytes | None]] = []
-        for slot in range(self.slot_count):
-            offset, _ = self._slot_entry(slot)
-            if offset == _TOMBSTONE_OFFSET:
-                entries.append((slot, None))
-            else:
-                entries.append((slot, self.read(slot)))
+        buf = self._buf
+        live = [
+            (slot, bytes(buf[offset : offset + length]))
+            for slot, (offset, length) in enumerate(self._directory())
+            if offset != _TOMBSTONE_OFFSET
+        ]
         hi = self._size - PAGE_FOOTER_SIZE
-        for slot, data in entries:
-            if data is None:
-                continue
+        for slot, data in live:
             hi -= len(data)
-            self._buf[hi : hi + len(data)] = data
+            buf[hi : hi + len(data)] = data
             self._set_slot_entry(slot, hi, len(data))
-        self._put_u16(_OFF_FREE_HI, hi)
-        lo = self._get_u16(_OFF_FREE_LO)
-        self._buf[lo:hi] = bytes(hi - lo)
+        _U16.pack_into(buf, _OFF_FREE_HI, hi)
+        lo = _U16.unpack_from(buf, _OFF_FREE_LO)[0]
+        buf[lo:hi] = bytes(hi - lo)
 
     # -- statistics --------------------------------------------------------
 
     @property
     def live_record_bytes(self) -> int:
         """Bytes of live record payload."""
-        total = 0
-        for slot in range(self.slot_count):
-            offset, length = self._slot_entry(slot)
-            if offset != _TOMBSTONE_OFFSET:
-                total += length
-        return total
+        return sum(
+            length
+            for offset, length in self._directory()
+            if offset != _TOMBSTONE_OFFSET
+        )
 
     @property
     def usable_bytes(self) -> int:

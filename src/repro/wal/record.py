@@ -30,6 +30,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
+from struct import Struct
 
 from repro.errors import WalError
 
@@ -40,6 +41,11 @@ PAYLOAD_PREFIX_SIZE = 9
 #: Sanity cap on a single payload (a record is one tuple or one JSON
 #: catalog snapshot, never anywhere near this).
 MAX_PAYLOAD = 1 << 24
+
+_FRAME_HEADER = Struct("<II")  # payload length, CRC32
+_PAYLOAD_PREFIX = Struct("<QB")  # LSN, record type
+_ADDR = Struct("<II")  # page id, slot
+_HEAP_ADDR = Struct("<III")  # page id, slot, txn id
 
 
 class RecordType(IntEnum):
@@ -154,11 +160,12 @@ def _encode_body(record: WalRecord) -> bytes:
             raise WalError(f"{rtype.name} record requires meta['txn']")
         return json.dumps(record.meta, sort_keys=True).encode("utf-8")
     head = _encode_name(record.table)
-    addr = record.page_id.to_bytes(4, "little") + record.slot.to_bytes(4, "little")
     if rtype in HEAP_OP_TYPES:
         if record.txn_id < 0 or record.txn_id > 0xFFFFFFFF:
             raise WalError(f"txn_id {record.txn_id} outside u32 range")
-        addr += record.txn_id.to_bytes(4, "little")
+        addr = _HEAP_ADDR.pack(record.page_id, record.slot, record.txn_id)
+    else:
+        addr = _ADDR.pack(record.page_id, record.slot)
     if rtype in (RecordType.INSERT, RecordType.UPDATE):
         if not record.payload:
             raise WalError(f"{rtype.name} record requires tuple payload")
@@ -166,10 +173,7 @@ def _encode_body(record: WalRecord) -> bytes:
     if rtype is RecordType.DELETE:
         return head + addr
     if rtype is RecordType.HOT_COLD_MOVE:
-        dst = record.aux_page.to_bytes(4, "little") + record.aux_slot.to_bytes(
-            4, "little"
-        )
-        return head + addr + dst
+        return head + addr + _ADDR.pack(record.aux_page, record.aux_slot)
     if rtype is RecordType.INDEX_CACHE_DROP:
         return head
     raise WalError(f"unencodable record type {rtype!r}")  # pragma: no cover
@@ -179,18 +183,10 @@ def encode_frame(record: WalRecord) -> bytes:
     """Encode one record as a complete, CRC-stamped frame."""
     if record.lsn < 1:
         raise WalError(f"LSNs are 1-based, got {record.lsn}")
-    payload = (
-        record.lsn.to_bytes(8, "little")
-        + bytes([int(record.rtype)])
-        + _encode_body(record)
-    )
+    payload = _PAYLOAD_PREFIX.pack(record.lsn, record.rtype) + _encode_body(record)
     if len(payload) > MAX_PAYLOAD:
         raise WalError(f"payload of {len(payload)} bytes exceeds MAX_PAYLOAD")
-    return (
-        len(payload).to_bytes(4, "little")
-        + zlib.crc32(payload).to_bytes(4, "little")
-        + payload
-    )
+    return _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def _decode_body(lsn: int, rtype: RecordType, body: bytes) -> WalRecord:
@@ -285,19 +281,18 @@ def scan_wal(data: bytes) -> ScanResult:
     pos = 0
     n = len(data)
     while pos + FRAME_HEADER_SIZE <= n:
-        payload_len = int.from_bytes(data[pos : pos + 4], "little")
+        payload_len, crc = _FRAME_HEADER.unpack_from(data, pos)
         if payload_len < PAYLOAD_PREFIX_SIZE or payload_len > MAX_PAYLOAD:
             break
         end = pos + FRAME_HEADER_SIZE + payload_len
         if end > n:
             break
-        crc = int.from_bytes(data[pos + 4 : pos + 8], "little")
         payload = data[pos + FRAME_HEADER_SIZE : end]
         if zlib.crc32(payload) != crc:
             break
-        lsn = int.from_bytes(payload[:8], "little")
+        lsn, rtype_byte = _PAYLOAD_PREFIX.unpack_from(payload)
         try:
-            rtype = RecordType(payload[8])
+            rtype = RecordType(rtype_byte)
             record = _decode_body(lsn, rtype, payload[9:])
         except (ValueError, WalError, UnicodeDecodeError,
                 json.JSONDecodeError):

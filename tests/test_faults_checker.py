@@ -75,3 +75,17 @@ def test_summary_mentions_problem_count():
     report = check_database(db)
     assert not report.ok
     assert "problem" in report.summary()
+
+
+def test_invalid_page_type_byte_is_noted_not_a_crash():
+    db, table = make_db()
+    victim = table.heap.page_ids[0]
+    with db.data_pool.page(victim) as page:
+        page.buffer[6] = 0xEE  # the page-type header byte; no PageType owns it
+        with pytest.raises(ValueError):
+            page.page_type
+    report = check_database(db)
+    assert report.problems == [
+        f"table 't' heap page {victim}: invalid page-type byte"
+    ]
+    assert report.records_checked >= N_ROWS

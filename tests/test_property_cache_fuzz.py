@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.index_cache.cache import IndexCache
 from repro.core.index_cache.invalidation import CacheInvalidation
+from repro.core.index_cache.layout import checksum
 from repro.errors import PageFullError
 from repro.storage.constants import PageType
 from repro.storage.page import SlottedPage
@@ -134,3 +135,115 @@ def test_invalidation_never_serves_stale_data(ops, seed):
                 )
         elif op == "flush_all":
             inv.invalidate_all()
+
+
+# -- differential: the window scan against a per-slot reference ---------------
+
+
+def reference_item(page, geo, payload_size, slot):
+    """One slot decoded field by field: the per-slot scan the C-level
+    window pass must agree with."""
+    item = geo.item_size
+    off = (geo.first_slot_index + slot) * item
+    buf = page.buffer
+    stored = int.from_bytes(buf[off + item - 2 : off + item], "little")
+    if stored == 0:
+        return None
+    item_tid = bytes(buf[off : off + 8])
+    item_payload = bytes(buf[off + 8 : off + 8 + payload_size])
+    if checksum(item_tid, item_payload) != stored:
+        return None
+    return item_tid, item_payload
+
+
+def reference_buckets(geo, bucket_slots):
+    """The stability grouping as a fresh sort over the slot offsets."""
+    s = geo.stable_point
+    half = geo.item_size / 2
+    first_start = -(-geo.free_lo // geo.item_size) * geo.item_size
+    n = max(0, (geo.free_hi - first_start) // geo.item_size)
+    offsets = [first_start + i * geo.item_size for i in range(n)]
+    ranked = sorted(range(n), key=lambda i: abs(offsets[i] + half - s))
+    return [ranked[i : i + bucket_slots] for i in range(0, n, bucket_slots)]
+
+
+clobber = st.one_of(
+    # arbitrary bytes over an arbitrary range of the window
+    st.tuples(
+        st.just("bytes"), st.integers(0, 10**6), st.binary(min_size=1, max_size=40)
+    ),
+    # one bad byte inside an item's tid or payload: its stored checksum
+    # stays nonzero over an item that no longer matches it
+    st.tuples(st.just("item"), st.integers(0, 10**6), st.integers(1, 255)),
+    # the stored checksum field itself rewritten
+    st.tuples(st.just("crc"), st.integers(0, 10**6), st.integers(0, 0xFFFF)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    payload_size=st.integers(1, 24),
+    entry_size=st.integers(8, 40),
+    records=st.integers(0, 30),
+    fills=st.lists(st.integers(0, 63), max_size=64),
+    clobbers=st.lists(clobber, max_size=12),
+    seed=st.integers(0, 2**31),
+)
+def test_window_scan_matches_per_slot_reference(
+    payload_size, entry_size, records, fills, clobbers, seed
+):
+    page = SlottedPage.format(bytearray(1024), 1, PageType.BTREE_LEAF)
+    for i in range(records):
+        try:
+            page.insert_at(i, i.to_bytes(4, "big") + bytes(entry_size - 4))
+        except PageFullError:
+            break
+    cache = IndexCache(payload_size, entry_size, rng=DeterministicRng(seed))
+    geo = cache.geometry(page)
+    n = geo.num_slots
+    for k in fills:
+        if n:
+            cache.write_slot(
+                page, geo, k % n, tid(k), bytes([k]) * payload_size
+            )
+    buf = page.buffer
+    lo, hi = page.free_window()
+    for kind, where, what in clobbers:
+        if kind == "bytes" and hi > lo:
+            start = lo + where % (hi - lo)
+            chunk = what[: hi - start]
+            buf[start : start + len(chunk)] = chunk
+        elif kind == "item" and n:
+            off = (geo.first_slot_index + where % n) * geo.item_size
+            at = off + where % (geo.item_size - 2)
+            buf[at] ^= what
+        elif kind == "crc" and n:
+            end = (geo.first_slot_index + where % n + 1) * geo.item_size
+            buf[end - 2 : end] = what.to_bytes(2, "little")
+
+    reference = [reference_item(page, geo, payload_size, s) for s in range(n)]
+    free, occupied = cache.occupancy(page)
+    assert occupied == [s for s in range(n) if reference[s] is not None]
+    assert free == [s for s in range(n) if reference[s] is None]
+    assert cache.entries(page) == [
+        (s, item[0], item[1]) for s, item in enumerate(reference) if item is not None
+    ]
+    for k in set(fills) | {999}:
+        expected = next(
+            (
+                (s, item[1])
+                for s, item in enumerate(reference)
+                if item is not None and item[0] == tid(k)
+            ),
+            None,
+        )
+        assert cache.find(page, geo, tid(k)) == expected
+    for bucket_slots in (1, 3, 4):
+        want = reference_buckets(geo, bucket_slots)
+        got = geo.buckets(bucket_slots)
+        assert [list(b) for b in got] == want
+        for b, bucket in enumerate(want):
+            for slot in bucket:
+                assert geo.bucket_of(slot, bucket_slots) == b
+    assert geo.bucket_of(n, 4) is None
+    assert geo.slots_by_stability() == [s for b in reference_buckets(geo, 1) for s in b]
