@@ -10,10 +10,10 @@ kept query results correct, so CI catches recovery regressions early.
 ``--sessions N`` runs the same workload through N interleaved MVCC
 sessions (snapshot isolation, conflicts, crash-during-commit recovery).
 
-``--shards N`` runs the drill over a sharded database instead: N engines
-with independent injectors and WALs, hot keys migrating between shards
-mid-drill, the RAM budget split across the shards.  Mutually exclusive
-with ``--sessions``.
+``--shards N`` runs the same drill loop over a sharded database: N
+engines with independent injectors and WALs, hot keys migrating between
+shards mid-drill, the RAM budget split across the shards.  Mutually
+exclusive with ``--sessions``.
 """
 
 from __future__ import annotations

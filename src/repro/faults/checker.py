@@ -201,7 +201,7 @@ def _check_node_page(report: CheckReport, label: str, pool, page_id, expected) -
 def _read_entries(report: CheckReport, label: str, tree):
     try:
         return list(tree.items())
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:  # ValueError: unknown type byte
         report.note(f"{label}: leaf scan failed ({exc})")
         return None
 
@@ -218,7 +218,7 @@ def _check_leaf_chain(report: CheckReport, label: str, tree) -> None:
                 return
             with tree.pool.page(page_id) as page:
                 page_id = page.next_page
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:  # ValueError: unknown type byte
         report.note(f"{label}: leaf chain walk failed ({exc})")
         return
     if set(chained) != expected:

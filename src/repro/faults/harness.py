@@ -18,6 +18,11 @@ is rebuilt *independently* by folding the durable log records, so the
 drill verifies both crash-consistency directions: every durable write
 survives the restart, and nothing that missed the log resurrects.
 
+The same loop runs over a :class:`~repro.shard.ShardedDatabase`
+(``shards=N``): the drill is written once against the list of per-shard
+engines, each with its own injector, and the single-engine drill is the
+one-engine case of it.
+
 Every operation's outcome is verified against the mirror, so the drill's
 headline number — ``wrong_results`` — is literal: how many times the
 engine returned an answer that differed from ground truth.  With
@@ -251,46 +256,88 @@ def run_fault_drill(
     abort.  Crash restarts land mid-transaction by construction: the
     recovery rollback must discard exactly the in-flight sessions'
     writes, which the rebuilt durable mirror then verifies.
-    ``shards=N`` (N >= 1) runs the autocommit drill over a
-    :class:`~repro.shard.ShardedDatabase` instead — N engines, each with
-    its own faulty disk, injector (seeded ``seed + i``), WAL, and metrics
-    namespace — with two hot-key rebalances fired *mid-drill*, so
-    cross-shard migrations commit while faults fly.  Mutually exclusive
-    with ``sessions`` (MVCC is per-engine) and with crash restarts, whose
-    sharded equivalent — cutting both logs mid-migration — is the crash
-    matrix test's job (``tests/test_shard_migration_crash.py``).
+
+    ``shards=N`` (N >= 1) runs the same autocommit loop over a
+    :class:`~repro.shard.ShardedDatabase` — N engines, each with its own
+    faulty disk, injector (seeded ``seed + i``) armed at *that shard's*
+    pages, WAL, and metrics namespace, the RAM budget split across them
+    — with two hot-key rebalances fired at one third and two thirds of
+    the ops, so cross-shard migrations commit while faults fly.  The
+    drill is one code path over the list of per-shard engines; the
+    single-engine drill is the list ``[db]``, so ``shards=1`` with
+    ``crash_restarts=0`` reproduces the single-engine digest exactly.
+    The sharded drill always arms §5j tracing, the event journal and the
+    fleet rollup, and closes with one traced full-fanout aggregate.
+    Crash restarts, telemetry sampling and the adaptive controller are
+    single-engine only (sharded restart coverage is the crash-matrix
+    test, ``tests/test_shard_migration_crash.py``); ``shards`` and
+    ``sessions`` are mutually exclusive (MVCC is per-engine).
     """
-    if shards:
-        if sessions:
-            raise ValueError("shards and sessions are mutually exclusive")
-        return _run_sharded_drill(
-            seed=seed,
-            n_pages=n_pages,
-            revisions_per_page=revisions_per_page,
-            n_ops=n_ops,
-            pool_pages=pool_pages,
-            wal=wal,
-            checkpoint_every=checkpoint_every,
-            shards=shards,
-        )
+    if shards and sessions:
+        raise ValueError("shards and sessions are mutually exclusive")
+    from repro.shard.database import ShardedDatabase  # late: avoids cycle
     from repro.wal.replay import recover  # late: harness ← query ← wal
 
     metrics = MetricsRegistry()
-    injector = FaultInjector(seed=seed, registry=metrics)
-    db = Database(
-        data_pool_pages=pool_pages,
-        seed=seed,
-        metrics=metrics,
-        fault_injector=injector,
-        # Three corrective re-reads: at a 2% read-flip rate, one re-read
-        # would misdiagnose back-to-back flips as at-rest corruption.
-        retry_policy=RetryPolicy(corrupt_rereads=3),
-        wal=bool(wal),
-    )
+    # Three corrective re-reads: at a 2% read-flip rate, one re-read
+    # would misdiagnose back-to-back flips as at-rest corruption.
+    retry_policy = RetryPolicy(corrupt_rereads=3)
+    trace = journal = rollup = None
+    if shards:
+        registries = [MetricsRegistry() for _ in range(shards)]
+        injectors = [
+            FaultInjector(seed=seed + i, registry=registries[i])
+            for i in range(shards)
+        ]
+        # Split the drill's RAM budget across the shards (rounded up, floor
+        # of 4 frames) — otherwise N shards quietly get N× the classic
+        # drill's memory, every partition fits, and no I/O ever reaches the
+        # faulty disks, which would turn the drill into a no-op.
+        db = ShardedDatabase(
+            shards,
+            mode="zipf",
+            data_pool_pages=max(4, -(-pool_pages // shards)),
+            seed=seed,
+            metrics=metrics,
+            shard_metrics=registries,
+            fault_injectors=injectors,
+            retry_policy=retry_policy,
+            wal=bool(wal),
+            recovery=True,
+        )
+        # §5j: the sharded drill always runs observed — cross-shard traces,
+        # the causal event journal, and fleet rollups all read clocks and
+        # registries without advancing them, so the drill's digest and every
+        # correctness verdict are unchanged by arming them.
+        trace = db.enable_tracing()
+        journal = db.enable_events()
+        rollup = db.enable_rollup()
+    else:
+        registries = [metrics]
+        injectors = [FaultInjector(seed=seed, registry=metrics)]
+        db = Database(
+            data_pool_pages=pool_pages,
+            seed=seed,
+            metrics=metrics,
+            fault_injector=injectors[0],
+            retry_policy=retry_policy,
+            wal=bool(wal),
+        )
     table = db.create_table("revision", REVISION_SCHEMA)
-    index = db.create_cached_index(
-        "revision", "rev_pk", ("rev_id",), CACHED_FIELDS
-    )
+    db.create_cached_index("revision", "rev_pk", ("rev_id",), CACHED_FIELDS)
+
+    def engines() -> list:
+        """The per-shard engines; re-read, since restarts swap ``db``."""
+        return db.shards if shards else [db]
+
+    def local_table(i: int):
+        """Shard ``i``'s own ``Table`` (re-read: restarts swap it)."""
+        return table.shard_table(i) if shards else table
+
+    def call(fn, *args):
+        # The sharded facade heals per shard (``recovery=True``); a single
+        # engine heals through its own recovery manager here.
+        return fn(*args) if shards else db.recovery.call(fn, *args)
 
     data = generate(
         WikipediaConfig(
@@ -307,31 +354,38 @@ def run_fault_drill(
     # database and therefore a fresh controller; keep them all so the
     # report can total the actions taken across the drill's lifetimes.
     controllers = []
-    if adaptive:
+    if adaptive and not shards:
         controllers.append(db.enable_adaptive())
 
-    def is_index_page(page_id: int) -> bool:
-        tree = index.tree  # re-read: rebuilds/restarts swap the tree out
-        return page_id in tree._leaf_ids or page_id in tree._internal_ids
+    def shard_plan(i: int) -> FaultPlan:
+        """The standard mix aimed at shard ``i``'s own index/heap pages."""
 
-    def is_heap_page(page_id: int) -> bool:
-        return table.heap.owns_page(page_id)  # re-read: restarts swap it
+        def is_index_page(page_id: int) -> bool:
+            # re-read: rebuilds/restarts swap the tree out
+            tree = local_table(i).index("rev_pk").tree
+            return page_id in tree._leaf_ids or page_id in tree._internal_ids
 
-    if plan is not None:
-        drill_plan = plan
-    else:
-        drill_plan = default_plan(
-            is_index_page, is_heap_page if wal else None
-        )
-    injector.arm(drill_plan)
+        def is_heap_page(page_id: int) -> bool:
+            return local_table(i).heap.owns_page(page_id)
+
+        return default_plan(is_index_page, is_heap_page if wal else None)
+
+    drill_plans = [
+        plan if plan is not None else shard_plan(i)
+        for i in range(len(injectors))
+    ]
+    for injector, drill_plan in zip(injectors, drill_plans):
+        injector.arm(drill_plan)
 
     rng = DeterministicRng(seed)
     keys = sorted(mirror)
     wrong = 0
     restarts_done = 0
     quarantined_total = 0
+    keys_migrated = 0
     next_rev_id = max(keys) + 1
     template = dict(data.revision_rows[0])
+    rebalance_ops = frozenset((n_ops // 3, 2 * n_ops // 3) if shards else ())
 
     # -- concurrent-session infrastructure (sessions mode only) ----------------
     # ``oracle`` is the versioned ground truth: key -> [(csn, row|None)]
@@ -346,8 +400,7 @@ def run_fault_drill(
         sess = [db.session() for _ in range(sessions)]
         oracle = {k: [(0, dict(row))] for k, row in mirror.items()}
 
-    def check_result(key: int, result) -> int:
-        expected = mirror.get(key)
+    def check_result(result, expected) -> int:
         if expected is None:
             return 0 if not result.found else 1
         if not result.found:
@@ -356,21 +409,22 @@ def run_fault_drill(
         return 0 if result.values == want else 1
 
     def verify_lookup(key: int) -> int:
-        result = db.recovery.call(table.lookup, "rev_pk", key, PROJECTION)
-        return check_result(key, result)
+        result = call(table.lookup, "rev_pk", key, PROJECTION)
+        return check_result(result, mirror.get(key))
 
     def verify_lookup_many(batch: list[int]) -> int:
-        results = db.recovery.call(
-            table.lookup_many, "rev_pk", batch, PROJECTION
+        results = call(table.lookup_many, "rev_pk", batch, PROJECTION)
+        return sum(
+            check_result(r, mirror.get(k)) for k, r in zip(batch, results)
         )
-        return sum(check_result(k, r) for k, r in zip(batch, results))
 
     def restart() -> None:
         """Pull the power mid-write-back, then recover from disk + WAL."""
-        nonlocal db, table, index, next_rev_id, restarts_done, quarantined_total
+        nonlocal db, table, next_rev_id, restarts_done, quarantined_total
         quarantined_total += len(
             db.data_pool.quarantined_pages | db.index_pool.quarantined_pages
         )
+        injector = injectors[0]
         injector.arm(FaultPlan.of(FaultSpec(FaultKind.CRASH_POINT, at_nth=1)))
         try:
             db.data_pool.flush_all()
@@ -384,10 +438,9 @@ def run_fault_drill(
             data_pool_pages=pool_pages,
             seed=seed,
             metrics=metrics,
-            retry_policy=RetryPolicy(corrupt_rereads=3),
+            retry_policy=retry_policy,
         )
         table = db.table("revision")
-        index = table.index("rev_pk")
         if adaptive:
             controllers.append(db.enable_adaptive())
         # Ground truth = the durable log, folded independently of the
@@ -411,16 +464,16 @@ def run_fault_drill(
             oracle.clear()
             oracle.update({k: [(0, dict(row))] for k, row in mirror.items()})
         restarts_done += 1
-        injector.arm(drill_plan)
+        injector.arm(drill_plans[0])
 
     crash_ops = frozenset(
         round(n_ops * (j + 1) / (crash_restarts + 1))
-        for j in range(crash_restarts if wal else 0)
+        for j in range(crash_restarts if wal and not shards else 0)
     )
 
     sampler = checker = None
     sample_every = 0
-    if telemetry_samples > 0:
+    if telemetry_samples > 0 and not shards:
         # The clock closure re-reads ``db``: a crash restart swaps in a
         # fresh database (and cost model); the clock jumping backwards
         # produces one degenerate window — no rates — and recovers.
@@ -473,14 +526,6 @@ def run_fault_drill(
             db.recovery.call(sess[i].abort)
         drop_txn(i)
 
-    def check_session_result(result, expected) -> int:
-        if expected is None:
-            return 0 if not result.found else 1
-        if not result.found:
-            return 1
-        want = {name: expected[name] for name in PROJECTION}
-        return 0 if result.values == want else 1
-
     def session_op() -> int:
         """One interleaved step of a randomly chosen session; returns
         the number of wrong results observed."""
@@ -497,7 +542,7 @@ def run_fault_drill(
         key = keys[rng.randrange(len(keys))]
         if draw < 0.50:
             result = db.recovery.call(sess[i].lookup, "revision", key, PROJECTION)
-            bad += check_session_result(result, oracle_visible(key, st))
+            bad += check_result(result, oracle_visible(key, st))
         elif draw < 0.72:
             predicted = expect_conflict(key, i, st)
             new_len = rng.randint(100, 200_000)
@@ -523,7 +568,7 @@ def run_fault_drill(
                 result = db.recovery.call(
                     sess[i].lookup, "revision", key, PROJECTION
                 )
-                bad += check_session_result(result, row)
+                bad += check_result(result, row)
         elif draw < 0.88:
             row = dict(template)
             row["rev_id"] = next_rev_id
@@ -559,6 +604,8 @@ def run_fault_drill(
     for op_i in range(n_ops):
         if op_i in crash_ops:
             restart()
+        if op_i and op_i in rebalance_ops:
+            keys_migrated += db.rebalance().keys_moved
         if sampler is not None and op_i and op_i % sample_every == 0:
             sampler.sample()
         if wal and checkpoint_every and op_i and op_i % checkpoint_every == 0:
@@ -582,9 +629,7 @@ def run_fault_drill(
         elif draw < 0.85:
             if key in mirror:
                 new_len = rng.randint(100, 200_000)
-                applied = db.recovery.call(
-                    table.update, "rev_pk", key, {"rev_len": new_len}
-                )
+                applied = call(table.update, "rev_pk", key, {"rev_len": new_len})
                 if applied:
                     mirror[key]["rev_len"] = new_len
                 else:
@@ -597,20 +642,21 @@ def run_fault_drill(
             row["rev_id"] = next_rev_id
             row["rev_text_id"] = next_rev_id
             row["rev_len"] = rng.randint(100, 200_000)
-            db.recovery.call(table.insert, row)
+            call(table.insert, row)
             mirror[next_rev_id] = row
             keys.append(next_rev_id)
             next_rev_id += 1
         else:
             if key in mirror:
-                applied = db.recovery.call(table.delete, "rev_pk", key)
+                applied = call(table.delete, "rev_pk", key)
                 if applied:
                     del mirror[key]
                 else:
                     wrong += 1
             wrong += verify_lookup(key)
 
-    injector.disarm()
+    for injector in injectors:
+        injector.disarm()
 
     if sessions:
         # Quiesce: commit every open transaction (commits never
@@ -628,233 +674,8 @@ def run_fault_drill(
                 mirror[k] = row
 
     # Final sweep: every surviving row must read back exactly right, and
-    # every deleted key must stay gone.
-    digest = hashlib.sha256()
-    for key in sorted(set(keys)):
-        wrong += verify_lookup(key)
-        expected = mirror.get(key)
-        digest.update(repr((key, expected and expected["rev_len"])).encode())
-    for fault in injector.log:
-        digest.update(
-            repr((fault.seq, fault.kind.value, fault.page_id, fault.bit,
-                  fault.tear_at)).encode()
-        )
-
-    if wal:
-        # Cached lookups can answer without the heap, so a heap page
-        # corrupted at rest may still be undetected; a full scan through
-        # a wide-budget healer redo-recovers any stragglers before the
-        # invariant walk (which reports, rather than heals, corruption).
-        sweeper = RecoveryManager(db, max_heals=256, registry=metrics)
-        sweeper.call(lambda: sum(1 for _ in table.scan()))
-
-    health_report = None
-    if sampler is not None:
-        sampler.sample()
-        health_report = checker.evaluate()
-
-    check = db.check()
-    snapshot = metrics.snapshot()
-    txn_stats = snapshot.get("txn", {})
-    faults = snapshot.get("faults", {})
-    recovery = snapshot.get("recovery", {})
-    wal_stats = snapshot.get("wal", {})
-    replay_stats = wal_stats.get("replay", {})
-    # Everything in the report is bit-for-bit reproducible; replay wall
-    # time is the one wall-clock instrument, so it stays out.
-    replay_stats.pop("ns", None)
-    return DrillReport(
-        seed=seed,
-        operations=n_ops,
-        wrong_results=wrong,
-        faults_injected=injector.injected,
-        faults_detected=faults.get("detected", 0),
-        faults_recovered=faults.get("recovered", 0),
-        faults_unrecoverable=faults.get("unrecoverable", 0),
-        retries=faults.get("retries", 0),
-        index_rebuilds=recovery.get("index_rebuilds", 0),
-        quarantined_pages=quarantined_total + len(
-            db.data_pool.quarantined_pages | db.index_pool.quarantined_pages
-        ),
-        check_ok=check.ok,
-        check_problems=list(check.problems),
-        digest=digest.hexdigest(),
-        metrics=snapshot,
-        heap_page_rebuilds=recovery.get("heap_page_rebuilds", 0)
-        + replay_stats.get("page_rebuilds", 0),
-        crash_restarts=restarts_done,
-        wal_records=wal_stats.get("records", 0),
-        telemetry_points=sampler.samples_taken if sampler is not None else 0,
-        health_ok=health_report.ok if health_report is not None else True,
-        health=health_report.as_dict() if health_report is not None else {},
-        tuning_actions=sum(c.actions_taken for c in controllers),
-        sessions=sessions,
-        txn_commits=txn_stats.get("commits", 0),
-        txn_aborts=txn_stats.get("aborts", 0),
-        txn_conflicts=txn_stats.get("conflicts", 0),
-    )
-
-
-def _run_sharded_drill(
-    *,
-    seed: int,
-    n_pages: int,
-    revisions_per_page: int,
-    n_ops: int,
-    pool_pages: int,
-    wal: bool,
-    checkpoint_every: int,
-    shards: int,
-) -> DrillReport:
-    """The autocommit drill over a :class:`~repro.shard.ShardedDatabase`.
-
-    Each shard gets its own injector (seeded ``seed + i``) armed with the
-    standard mix aimed at *that shard's* index and heap pages; every
-    operation routes through the facade, whose per-call recovery managers
-    heal exactly like the classic drill's.  At one third and two thirds
-    of the op budget the drill fires :meth:`rebalance` — hot keys migrate
-    between shards while faults fly, and every subsequent read is still
-    verified against the mirror, so a migration that lost or duplicated a
-    tuple would surface as a wrong result or a failed cross-shard
-    ownership check.  Telemetry sampling and crash restarts stay off
-    (restart coverage for sharding is the crash-matrix test); the digest
-    folds the final sweep plus all shards' injector logs in shard order.
-    """
-    from repro.shard.database import ShardedDatabase  # late: avoids cycle
-
-    metrics = MetricsRegistry()
-    shard_regs = [MetricsRegistry() for _ in range(shards)]
-    injectors = [
-        FaultInjector(seed=seed + i, registry=shard_regs[i])
-        for i in range(shards)
-    ]
-    # Split the drill's RAM budget across the shards (rounded up, floor
-    # of 4 frames) — otherwise N shards quietly get N× the classic
-    # drill's memory, every partition fits, and no I/O ever reaches the
-    # faulty disks, which would turn the drill into a no-op.
-    per_shard_pool = max(4, -(-pool_pages // shards))
-    sdb = ShardedDatabase(
-        shards,
-        mode="zipf",
-        data_pool_pages=per_shard_pool,
-        seed=seed,
-        metrics=metrics,
-        shard_metrics=shard_regs,
-        fault_injectors=injectors,
-        retry_policy=RetryPolicy(corrupt_rereads=3),
-        wal=bool(wal),
-        recovery=True,
-    )
-    # §5j: the sharded drill always runs observed — cross-shard traces,
-    # the causal event journal, and fleet rollups all read clocks and
-    # registries without advancing them, so the drill's digest and every
-    # correctness verdict are unchanged by arming them.
-    trace = sdb.enable_tracing()
-    journal = sdb.enable_events()
-    rollup = sdb.enable_rollup()
-    table = sdb.create_table("revision", REVISION_SCHEMA)
-    sdb.create_cached_index("revision", "rev_pk", ("rev_id",), CACHED_FIELDS)
-
-    data = generate(
-        WikipediaConfig(
-            n_pages=n_pages, revisions_per_page_mean=revisions_per_page,
-            seed=seed,
-        )
-    )
-    mirror: dict[int, dict[str, object]] = {}
-    for row in data.revision_rows:
-        table.insert(row)
-        mirror[row["rev_id"]] = dict(row)
-
-    def make_filters(i: int):
-        local = sdb.shard(i).table("revision")
-        tree = local.index("rev_pk").tree
-
-        def is_index_page(page_id: int) -> bool:
-            return page_id in tree._leaf_ids or page_id in tree._internal_ids
-
-        def is_heap_page(page_id: int) -> bool:
-            return local.heap.owns_page(page_id)
-
-        return is_index_page, is_heap_page
-
-    for i, injector in enumerate(injectors):
-        is_index_page, is_heap_page = make_filters(i)
-        injector.arm(
-            default_plan(is_index_page, is_heap_page if wal else None)
-        )
-
-    rng = DeterministicRng(seed)
-    keys = sorted(mirror)
-    wrong = 0
-    next_rev_id = max(keys) + 1
-    template = dict(data.revision_rows[0])
-    keys_migrated = 0
-    rebalance_ops = frozenset((n_ops // 3, 2 * n_ops // 3))
-
-    def check_result(key: int, result) -> int:
-        expected = mirror.get(key)
-        if expected is None:
-            return 0 if not result.found else 1
-        if not result.found:
-            return 1
-        want = {name: expected[name] for name in PROJECTION}
-        return 0 if result.values == want else 1
-
-    def verify_lookup(key: int) -> int:
-        return check_result(key, table.lookup("rev_pk", key, PROJECTION))
-
-    for op_i in range(n_ops):
-        if op_i and op_i in rebalance_ops:
-            keys_migrated += sdb.rebalance().keys_moved
-        if wal and checkpoint_every and op_i and op_i % checkpoint_every == 0:
-            sdb.checkpoint()
-        draw = rng.random()
-        key = keys[rng.randrange(len(keys))]
-        if draw < 0.15:
-            batch = [key] + [
-                keys[rng.randrange(len(keys))]
-                for _ in range(rng.randint(1, 5))
-            ]
-            results = table.lookup_many("rev_pk", batch, PROJECTION)
-            wrong += sum(check_result(k, r) for k, r in zip(batch, results))
-        elif draw < 0.70:
-            wrong += verify_lookup(key)
-        elif draw < 0.85:
-            if key in mirror:
-                new_len = rng.randint(100, 200_000)
-                applied = table.update("rev_pk", key, {"rev_len": new_len})
-                if applied:
-                    mirror[key]["rev_len"] = new_len
-                else:
-                    wrong += 1
-                wrong += verify_lookup(key)
-            else:
-                wrong += verify_lookup(key)
-        elif draw < 0.95:
-            row = dict(template)
-            row["rev_id"] = next_rev_id
-            row["rev_text_id"] = next_rev_id
-            row["rev_len"] = rng.randint(100, 200_000)
-            table.insert(row)
-            mirror[next_rev_id] = row
-            keys.append(next_rev_id)
-            next_rev_id += 1
-        else:
-            if key in mirror:
-                applied = table.delete("rev_pk", key)
-                if applied:
-                    del mirror[key]
-                else:
-                    wrong += 1
-            wrong += verify_lookup(key)
-
-    for injector in injectors:
-        injector.disarm()
-
-    # Final sweep + digest: every surviving row reads back exactly right,
-    # every deleted key stays gone, and the fault history of *every*
-    # shard is folded in shard order.
+    # every deleted key must stay gone.  The digest then folds the fault
+    # history of every injector, in shard order.
     digest = hashlib.sha256()
     for key in sorted(set(keys)):
         wrong += verify_lookup(key)
@@ -868,65 +689,86 @@ def _run_sharded_drill(
             )
 
     if wal:
-        # Same straggler sweep as the classic drill, once per shard.
-        for i in range(shards):
-            local = sdb.shard(i).table("revision")
+        # Cached lookups can answer without the heap, so a heap page
+        # corrupted at rest may still be undetected; a full scan through
+        # a wide-budget healer redo-recovers any stragglers before the
+        # invariant walk (which reports, rather than heals, corruption).
+        for i, engine in enumerate(engines()):
             sweeper = RecoveryManager(
-                sdb.shard(i), max_heals=256, registry=shard_regs[i]
+                engine, max_heals=256, registry=registries[i]
             )
-            sweeper.journal = journal
+            sweeper.journal = journal  # None for a single engine
             sweeper.journal_shard = i
-            sweeper.call(lambda t=local: sum(1 for _ in t.scan()))
+            sweeper.call(lambda t=local_table(i): sum(1 for _ in t.scan()))
 
-    # One traced full-fanout aggregate after the guns go quiet: its span
-    # tree must cover every shard (the report's acceptance exhibit).
-    table.aggregate([("count", None)])
-    rollup.refresh()
+    health_report = None
+    if sampler is not None:
+        sampler.sample()
+        health_report = checker.evaluate()
 
-    check = sdb.check()
+    if shards:
+        # One traced full-fanout aggregate after the guns go quiet: its span
+        # tree must cover every shard (the report's acceptance exhibit).
+        table.aggregate([("count", None)])
+        rollup.refresh()
+
+    check = db.check()
     problems = list(check.problems)
-    for i, shard_check in enumerate(check.per_shard):
-        problems += [f"shard {i}: {p}" for p in shard_check.problems]
-    snapshot = sdb.snapshot()
-    faults_detected = faults_recovered = faults_unrecoverable = 0
-    retries = index_rebuilds = heap_rebuilds = wal_records = 0
-    quarantined = 0
-    for i in range(shards):
-        shard_snap = snapshot["shard"][str(i)]
-        shard_snap.get("wal", {}).get("replay", {}).pop("ns", None)
-        faults = shard_snap.get("faults", {})
-        faults_detected += faults.get("detected", 0)
-        faults_recovered += faults.get("recovered", 0)
-        faults_unrecoverable += faults.get("unrecoverable", 0)
-        retries += faults.get("retries", 0)
-        recovery_stats = shard_snap.get("recovery", {})
-        index_rebuilds += recovery_stats.get("index_rebuilds", 0)
-        heap_rebuilds += recovery_stats.get("heap_page_rebuilds", 0)
-        wal_records += shard_snap.get("wal", {}).get("records", 0)
-        db = sdb.shard(i)
-        quarantined += len(
-            db.data_pool.quarantined_pages | db.index_pool.quarantined_pages
-        )
+    if shards:
+        for i, shard_check in enumerate(check.per_shard):
+            problems += [f"shard {i}: {p}" for p in shard_check.problems]
+        snapshot = db.snapshot()
+        per_shard = [snapshot["shard"][str(i)] for i in range(shards)]
+    else:
+        snapshot = metrics.snapshot()
+        per_shard = [snapshot]
+    # Everything in the report is bit-for-bit reproducible; replay wall
+    # time is the one wall-clock instrument, so it stays out.
+    for snap in per_shard:
+        snap.get("wal", {}).get("replay", {}).pop("ns", None)
+
+    def total(*path: str) -> int:
+        """One counter summed over the per-shard snapshots."""
+        count = 0
+        for snap in per_shard:
+            for part in path[:-1]:
+                snap = snap.get(part, {})
+            count += snap.get(path[-1], 0)
+        return count
+
+    txn_stats = snapshot.get("txn", {})
     return DrillReport(
         seed=seed,
         operations=n_ops,
         wrong_results=wrong,
-        faults_injected=sum(inj.injected for inj in injectors),
-        faults_detected=faults_detected,
-        faults_recovered=faults_recovered,
-        faults_unrecoverable=faults_unrecoverable,
-        retries=retries,
-        index_rebuilds=index_rebuilds,
-        quarantined_pages=quarantined,
+        faults_injected=sum(injector.injected for injector in injectors),
+        faults_detected=total("faults", "detected"),
+        faults_recovered=total("faults", "recovered"),
+        faults_unrecoverable=total("faults", "unrecoverable"),
+        retries=total("faults", "retries"),
+        index_rebuilds=total("recovery", "index_rebuilds"),
+        quarantined_pages=quarantined_total + sum(
+            len(e.data_pool.quarantined_pages | e.index_pool.quarantined_pages)
+            for e in engines()
+        ),
         check_ok=check.ok,
         check_problems=problems,
         digest=digest.hexdigest(),
         metrics=snapshot,
-        heap_page_rebuilds=heap_rebuilds,
-        crash_restarts=0,
-        wal_records=wal_records,
+        heap_page_rebuilds=total("recovery", "heap_page_rebuilds")
+        + total("wal", "replay", "page_rebuilds"),
+        crash_restarts=restarts_done,
+        wal_records=total("wal", "records"),
+        telemetry_points=sampler.samples_taken if sampler is not None else 0,
+        health_ok=health_report.ok if health_report is not None else True,
+        health=health_report.as_dict() if health_report is not None else {},
+        tuning_actions=sum(c.actions_taken for c in controllers),
+        sessions=sessions,
+        txn_commits=txn_stats.get("commits", 0),
+        txn_aborts=txn_stats.get("aborts", 0),
+        txn_conflicts=txn_stats.get("conflicts", 0),
         shards=shards,
         keys_migrated=keys_migrated,
-        events=journal.as_dicts(),
-        traces=trace.as_dicts(8),
+        events=journal.as_dicts() if shards else [],
+        traces=trace.as_dicts(8) if shards else [],
     )

@@ -89,3 +89,16 @@ def test_invalid_page_type_byte_is_noted_not_a_crash():
         f"table 't' heap page {victim}: invalid page-type byte"
     ]
     assert report.records_checked >= N_ROWS
+
+
+def test_invalid_index_page_type_byte_is_noted_not_a_crash():
+    db, table = make_db()
+    tree = table.index("pk").tree
+    victim = tree.leaf_page_ids[0]
+    with tree.pool.page(victim) as page:
+        page.buffer[6] = 0xEE  # the page-type header byte; no PageType owns it
+        with pytest.raises(ValueError):
+            page.page_type
+    report = check_database(db)
+    assert not report.ok
+    assert f"index 'pk' page {victim}: invalid page-type byte" in report.problems

@@ -176,6 +176,21 @@ def test_sharded_drill_is_reproducible_bit_for_bit(sharded_drill):
     assert again.faults_injected == sharded_drill.faults_injected
 
 
+def test_one_shard_drill_equals_the_single_engine_drill():
+    # The drill is one code path over a list of per-shard engines: with
+    # crash restarts off, a 1-shard facade must reproduce the classic
+    # single-engine drill exactly — same faults aimed at the same pages,
+    # same recoveries, same final state.
+    kwargs = dict(seed=2, n_pages=240, n_ops=1_500, crash_restarts=0)
+    single = run_fault_drill(**kwargs)
+    one_shard = run_fault_drill(shards=1, **kwargs)
+    assert one_shard.shards == 1
+    assert one_shard.digest == single.digest
+    assert one_shard.faults_injected == single.faults_injected
+    assert one_shard.faults_detected == single.faults_detected
+    assert one_shard.wrong_results == single.wrong_results == 0
+
+
 def test_sharded_and_sessions_modes_are_exclusive():
     with pytest.raises(ValueError):
         run_fault_drill(shards=2, sessions=2)
